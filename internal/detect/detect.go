@@ -9,9 +9,11 @@
 package detect
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,16 +45,31 @@ func (e *Error) Key() string {
 	if e.Task == ree.TaskER {
 		return "dup:" + e.DupEIDs[0] + "|" + e.DupEIDs[1]
 	}
-	s := "cell:"
 	ks := make([]string, len(e.Cells))
+	n := len("cell:")
 	for i, c := range e.Cells {
 		ks[i] = c.String()
+		n += len(ks[i]) + 1
 	}
 	sort.Strings(ks)
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("cell:")
 	for _, k := range ks {
-		s += k + ";"
+		b.WriteString(k)
+		b.WriteByte(';')
 	}
-	return s
+	return b.String()
+}
+
+// keepMinRule records e under its evidence key k unless an error with a
+// smaller-or-equal RuleID already holds it. Among rules finding the same
+// evidence the smallest RuleID wins, so the kept error does not depend on
+// the order in which concurrent work units finish.
+func keepMinRule(byKey map[string]*Error, k string, e *Error) {
+	if prev, ok := byKey[k]; !ok || e.RuleID < prev.RuleID {
+		byKey[k] = e
+	}
 }
 
 // Options tunes a detection run.
@@ -204,21 +221,21 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 	phase := d.opts.Obs.StartSpan(phaseName, d.opts.Span)
 	defer phase.End()
 	var mu sync.Mutex
-	seen := make(map[string]bool)
-	var out []*Error
+	byKey := make(map[string]*Error)
 	var firstErr error
 
 	blocks := d.partition()
 	var all []*crystal.WorkUnit
 	for _, r := range d.rules {
 		units, err := d.unitsFor(r, blocks, dirty, phase, func(errs []*Error) {
+			keys := make([]string, len(errs))
+			for i, e := range errs {
+				keys[i] = e.Key()
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			for _, e := range errs {
-				if !seen[e.Key()] {
-					seen[e.Key()] = true
-					out = append(out, e)
-				}
+			for i, e := range errs {
+				keepMinRule(byKey, keys[i], e)
 			}
 		}, &mu, &firstErr)
 		if err != nil {
@@ -266,8 +283,7 @@ func (d *Detector) runMode(ctx context.Context, dirty map[string]map[int]bool, s
 		d.opts.Obs.Inc("detect.errors.run")
 		return nil, 0, partial, firstErr
 	}
-	out = AttributeCulpritsFreq(out, d.culpritScore())
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	out := attribute(byKey, d.culpritScore())
 	phase.SetN(int64(len(out)))
 	d.opts.Obs.Add("detect.errors.found", uint64(len(out)))
 	d.opts.Obs.Add("detect.wall_ns", uint64(time.Since(start)))
@@ -287,13 +303,17 @@ func (d *Detector) culpritScore() func(data.CellRef) float64 {
 }
 
 // CulpritScoreFn builds the culprit tie-break score over one database
-// (shared with the SQL-engine baselines, which run the same rules).
+// (shared with the SQL-engine baselines, which run the same rules). Column
+// statistics are built on a column's first lookup; the returned function
+// is not safe for concurrent use.
 func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 	type colKey struct{ rel, attr string }
 	type colStats struct {
 		freq    map[string]int
 		bigrams map[string]int
 		total   int
+		// maxBigram is the largest count in bigrams.
+		maxBigram int
 	}
 	cache := map[colKey]*colStats{}
 	stats := func(c data.CellRef) *colStats {
@@ -320,6 +340,9 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 				st.total++
 			}
 		}
+		for _, cnt := range st.bigrams {
+			st.maxBigram = max(st.maxBigram, cnt)
+		}
 		cache[k] = st
 		return st
 	}
@@ -344,14 +367,8 @@ func CulpritScoreFn(db *data.Database) func(data.CellRef) float64 {
 		s := v.String()
 		if st.total > 0 && len(s) >= 2 {
 			sum, n := 0.0, 0.0
-			max := 0
-			for _, cnt := range st.bigrams {
-				if cnt > max {
-					max = cnt
-				}
-			}
 			for i := 0; i+2 <= len(s); i++ {
-				sum += float64(st.bigrams[s[i:i+2]]) / float64(max)
+				sum += float64(st.bigrams[s[i:i+2]]) / float64(st.maxBigram)
 				n++
 			}
 			if n > 0 {
@@ -375,98 +392,206 @@ func AttributeCulprits(errs []*Error) []*Error {
 // violations, while each clean cell conflicts only with the few erroneous
 // ones. Repeatedly flagging the highest-degree cell until all two-cell
 // violations are covered pins the blame precisely (the standard
-// hypergraph-cover heuristic for dependency violations). Degree ties —
-// e.g. a group with exactly one clean and one dirty member — are broken by
-// value rarity when freq is supplied: the cell whose value is rarer in its
-// column is the culprit. One-cell and ER errors pass through unchanged.
+// hypergraph-cover heuristic for dependency violations). One-cell and ER
+// errors pass through unchanged.
+//
+// When freq is supplied, every cell it scores below zero (a null) is a
+// culprit outright. The greedy step then picks by degree (uncovered
+// incident violations; a self-loop counts twice), breaking ties by the
+// lower freq score (the rarer, less plausible value) and then by the
+// smaller CellRef.String(). Without freq, ties go straight to the string.
+// A culprit carries the smallest RuleID (and that error's Task) among the
+// violations touching its cell.
+//
+// Errors sharing a Key collapse to the one with the smallest RuleID, both
+// on input and after attribution (a culprit the rules also flagged as a
+// one-cell error is reported once). The result is sorted by Key, so it
+// does not depend on the order of errs.
+//
+// The cover costs O((V+E) log V) for V cells and E two-cell violations:
+// each cell is scored once, degrees are updated as violations are covered,
+// and each pick comes from a lazy-deletion max-heap.
 func AttributeCulpritsFreq(errs []*Error, freq func(data.CellRef) float64) []*Error {
-	var out []*Error
-	type edge struct{ a, b string }
-	var edges []edge
-	meta := map[string]data.CellRef{}
-	byCellErr := map[string]*Error{}
+	byKey := make(map[string]*Error, len(errs))
 	for _, e := range errs {
+		keepMinRule(byKey, e.Key(), e)
+	}
+	return attribute(byKey, freq)
+}
+
+// attribute is AttributeCulpritsFreq over errors already deduplicated by
+// Key (the map key).
+func attribute(byKey map[string]*Error, freq func(data.CellRef) float64) []*Error {
+	g := culpritGraph{ids: make(map[data.CellRef]int32)}
+	out := make([]keyedError, 0, len(byKey))
+	for k, e := range byKey {
 		if e.Task != ree.TaskER && len(e.Cells) == 2 {
-			a, b := e.Cells[0], e.Cells[1]
-			edges = append(edges, edge{a.String(), b.String()})
-			meta[a.String()] = a
-			meta[b.String()] = b
-			if byCellErr[a.String()] == nil {
-				byCellErr[a.String()] = e
-			}
-			if byCellErr[b.String()] == nil {
-				byCellErr[b.String()] = e
-			}
+			g.addEdge(e)
 			continue
 		}
-		out = append(out, e)
+		out = append(out, keyedError{k, e})
 	}
-	covered := make([]bool, len(edges))
-	remaining := len(edges)
-	// Pre-pass: null cells (score < 0) are culprits outright.
+	for _, c := range g.cover(freq) {
+		out = append(out, keyedError{c.Key(), c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].key != out[j].key {
+			return out[i].key < out[j].key
+		}
+		return out[i].RuleID < out[j].RuleID
+	})
+	res := make([]*Error, 0, len(out))
+	for i, ke := range out {
+		if i > 0 && ke.key == out[i-1].key {
+			continue
+		}
+		res = append(res, ke.Error)
+	}
+	return res
+}
+
+// keyedError pairs an error with its Key, computed once.
+type keyedError struct {
+	key string
+	*Error
+}
+
+// culpritGraph is the violation graph of attribution: one vertex per cell,
+// one edge per two-cell violation.
+type culpritGraph struct {
+	ids   map[data.CellRef]int32
+	cells []data.CellRef
+	// src is, per vertex, the incident violation with the smallest RuleID.
+	src  []*Error
+	ends [][2]int32
+}
+
+func (g *culpritGraph) vertex(c data.CellRef, e *Error) int32 {
+	v, ok := g.ids[c]
+	if !ok {
+		v = int32(len(g.cells))
+		g.ids[c] = v
+		g.cells = append(g.cells, c)
+		g.src = append(g.src, e)
+	} else if e.RuleID < g.src[v].RuleID {
+		g.src[v] = e
+	}
+	return v
+}
+
+func (g *culpritGraph) addEdge(e *Error) {
+	g.ends = append(g.ends, [2]int32{g.vertex(e.Cells[0], e), g.vertex(e.Cells[1], e)})
+}
+
+// cover runs the greedy vertex cover and returns one single-cell error per
+// culprit.
+func (g *culpritGraph) cover(freq func(data.CellRef) float64) []*Error {
+	n := len(g.cells)
+	// Incidence lists in one array: vertex v's edges are
+	// inc[off[v]:off[v+1]], a self-loop listed twice. deg[v] counts the
+	// uncovered ones.
+	deg := make([]int32, n)
+	for _, e := range g.ends {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	off := make([]int32, n+1)
+	for v, d := range deg {
+		off[v+1] = off[v] + d
+	}
+	inc := make([]int32, 2*len(g.ends))
+	fill := append([]int32(nil), off[:n]...)
+	for i, e := range g.ends {
+		for _, v := range e {
+			inc[fill[v]] = int32(i)
+			fill[v]++
+		}
+	}
+	h := culpritHeap{keys: make([]string, n), score: make([]float64, n)}
+	for v, c := range g.cells {
+		h.keys[v] = c.String()
+		if freq != nil {
+			h.score[v] = freq(c)
+		}
+	}
+	covered := make([]bool, len(g.ends))
+	var out []*Error
+	pick := func(v int32) {
+		for _, ei := range inc[off[v]:off[v+1]] {
+			if covered[ei] {
+				continue
+			}
+			covered[ei] = true
+			o := g.ends[ei][0]
+			if o == v {
+				o = g.ends[ei][1]
+			}
+			deg[o]--
+		}
+		deg[v] = 0
+		src := g.src[v]
+		out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{g.cells[v]}})
+	}
 	if freq != nil {
-		flagged := map[string]bool{}
-		for i, ed := range edges {
-			if covered[i] {
-				continue
-			}
-			for _, cellKey := range []string{ed.a, ed.b} {
-				if !flagged[cellKey] && freq(meta[cellKey]) < 0 {
-					flagged[cellKey] = true
-				}
+		var nulls []int32
+		for v := range g.cells {
+			if h.score[v] < 0 {
+				nulls = append(nulls, int32(v))
 			}
 		}
-		for cellKey := range flagged {
-			for i, ed := range edges {
-				if !covered[i] && (ed.a == cellKey || ed.b == cellKey) {
-					covered[i] = true
-					remaining--
-				}
-			}
-			src := byCellErr[cellKey]
-			out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[cellKey]}})
+		sort.Slice(nulls, func(i, j int) bool { return h.keys[nulls[i]] < h.keys[nulls[j]] })
+		for _, v := range nulls {
+			pick(v)
 		}
 	}
-	for remaining > 0 {
-		// Pick the cell covering the most uncovered edges; ties prefer the
-		// rarer value, then the key, for determinism.
-		best, bestDeg := "", 0
-		bestFreq := 0.0
-		deg := map[string]int{}
-		for i, ed := range edges {
-			if covered[i] {
-				continue
-			}
-			deg[ed.a]++
-			deg[ed.b]++
+	for v := range g.cells {
+		if deg[v] > 0 {
+			h.items = append(h.items, heapItem{int32(v), deg[v]})
 		}
-		keys := make([]string, 0, len(deg))
-		for k := range deg {
-			keys = append(keys, k)
+	}
+	heap.Init(&h)
+	for h.Len() > 0 {
+		it := heap.Pop(&h).(heapItem)
+		switch cur := deg[it.v]; {
+		case cur == 0:
+		case cur != it.deg:
+			// Stale: degrees only fall, so the entry surfaced early;
+			// requeue it at its current degree.
+			heap.Push(&h, heapItem{it.v, cur})
+		default:
+			pick(it.v)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := 0.0
-			if freq != nil {
-				f = freq(meta[k])
-			}
-			if deg[k] > bestDeg || (deg[k] == bestDeg && freq != nil && f < bestFreq) {
-				best, bestDeg, bestFreq = k, deg[k], f
-			}
-		}
-		if best == "" {
-			break
-		}
-		for i, ed := range edges {
-			if !covered[i] && (ed.a == best || ed.b == best) {
-				covered[i] = true
-				remaining--
-			}
-		}
-		src := byCellErr[best]
-		out = append(out, &Error{RuleID: src.RuleID, Task: src.Task, Cells: []data.CellRef{meta[best]}})
 	}
 	return out
+}
+
+type heapItem struct{ v, deg int32 }
+
+// culpritHeap orders vertices by (degree desc, score asc, key asc), using
+// the degree recorded in each item.
+type culpritHeap struct {
+	items []heapItem
+	keys  []string
+	score []float64
+}
+
+func (h *culpritHeap) Len() int { return len(h.items) }
+func (h *culpritHeap) Less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	if a.deg != b.deg {
+		return a.deg > b.deg
+	}
+	if sa, sb := h.score[a.v], h.score[b.v]; sa != sb {
+		return sa < sb
+	}
+	return h.keys[a.v] < h.keys[b.v]
+}
+func (h *culpritHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *culpritHeap) Push(x any)    { h.items = append(h.items, x.(heapItem)) }
+func (h *culpritHeap) Pop() any {
+	it := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return it
 }
 
 // partition divides each relation into virtual blocks by TID hash.
