@@ -1,7 +1,9 @@
 package chase
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"github.com/rockclean/rock/internal/data"
 	"github.com/rockclean/rock/internal/kg"
@@ -323,5 +325,35 @@ func TestValuePairValidatedSideWins(t *testing.T) {
 	}
 	if rep.OracleCalls != 0 {
 		t.Error("no user consultation needed when Γ decides")
+	}
+}
+
+// TestSerialRetryBackoffHonoursCancel: a serial-path unit that panics
+// under a cancelled context must not sit out its retry backoffs (1 s +
+// 2 s + 3 s here) before the run can return.
+func TestSerialRetryBackoffHonoursCancel(t *testing.T) {
+	env, _ := personEnv(t)
+	opts := DefaultOptions()
+	opts.Parallel = false
+	opts.MaxRetries = 3
+	opts.RetryBackoff = time.Second
+	e := New(env, nil, truth.NewFixSet(), opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e.ctx = ctx
+	attempts := 0
+	start := time.Now()
+	ue, cancelled := e.runUnitShielded(0, "n0", "r1", "p", func(int) {
+		attempts++
+		panic("boom")
+	})
+	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
+		t.Fatalf("cancelled retry took %v; backoff must yield to ctx.Done", elapsed)
+	}
+	if !cancelled || ue != nil {
+		t.Fatalf("cancelled=%v ue=%v: a cancel during backoff abandons the unit", cancelled, ue)
+	}
+	if attempts != 1 {
+		t.Fatalf("%d attempts after cancel, want 1", attempts)
 	}
 }

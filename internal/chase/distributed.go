@@ -143,19 +143,7 @@ func (e *Engine) FollowRound(pre RoundPreamble) (int, error) {
 	if e.pred != nil && e.opts.UseBlocking {
 		e.precomputePredications(ordered, dirty)
 	}
-	if e.blocks == nil {
-		e.blocks = e.partition()
-		e.exec.InvalidatePartitions()
-		for _, rel := range e.env.DB.Relations {
-			e.exec.RegisterPartition(rel.Tuples)
-		}
-		for _, bs := range e.blocks {
-			for _, b := range bs {
-				e.exec.RegisterPartition(b)
-			}
-		}
-	}
-	e.followWork = e.buildWork(ordered, e.blocks)
+	e.followWork = e.buildWork(ordered, e.partition())
 	e.followDirty = dirty
 	if pre.Units != len(e.followWork) {
 		return len(e.followWork), fmt.Errorf("chase follow: derived %d units, coordinator has %d (replica diverged)",

@@ -732,7 +732,7 @@ func (e *Executor) hashJoin(r *ree.Rule, p *predicate.Predicate, opts Options,
 		if colA != nil && colB != nil {
 			// Posting-list enumeration first (vector.go); it declines when
 			// colB is incomplete or an input is not TID-ascending.
-			if out, ok := e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relS); ok {
+			if out, ok := e.postingJoin(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi, relT, relS); ok {
 				return out, true
 			}
 			return e.hashJoinInterned(r, p, opts, tuplesT, tuplesS, colA, colB, ai, bi), true

@@ -361,10 +361,23 @@ type Snapshot struct {
 	DroppedSpans uint64       `json:"dropped_spans,omitempty"`
 }
 
-// Snapshot exports every metric and the retained events. Safe to call
-// concurrently with recording; the result is internally consistent per
-// metric (not across metrics). Returns the zero Snapshot for nil.
+// Snapshot exports every metric, the retained events and the retained
+// spans. Safe to call concurrently with recording; the result is
+// internally consistent per metric (not across metrics). Returns the
+// zero Snapshot for nil.
 func (r *Registry) Snapshot() Snapshot {
+	snap := r.MetricsSnapshot()
+	if r != nil {
+		snap.Spans = r.Spans()
+		snap.DroppedSpans = r.DroppedSpans()
+	}
+	return snap
+}
+
+// MetricsSnapshot is Snapshot without the spans. Its cost is bounded by
+// the metrics and the event ring, however many spans a long-lived
+// registry has retained, so a per-operation report can afford it.
+func (r *Registry) MetricsSnapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
@@ -403,8 +416,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(snap.Events) > 0 {
 		snap.OldestEventSeq = snap.Events[0].Seq
 	}
-	snap.Spans = r.Spans()
-	snap.DroppedSpans = r.DroppedSpans()
 	return snap
 }
 
