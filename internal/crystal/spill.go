@@ -16,20 +16,20 @@ package crystal
 //	24: u64 nTIDs         (total posting entries)
 //	32: ids     nIDs  × u32, padded to 8
 //	  : offs    nLists+1 × u64   (prefix element offsets into tids)
-//	  : tids    nTIDs × i64
+//	  : tids    nTIDs × i32, padded to 8
 
 import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"syscall"
 	"unsafe"
 
 	"github.com/rockclean/rock/internal/data"
 )
 
-const spillMagic = uint64(0x524b4350)<<32 | 1
+const spillMagic = uint64(0x524b4350)<<32 | 2
 
 // SpillOptions configures the spill block store.
 type SpillOptions struct {
@@ -79,7 +79,7 @@ func (c *Column) MemBytes() int64 {
 	} else {
 		b += int64(len(c.IDs)) * 4
 		for _, p := range c.Postings {
-			b += int64(len(p))*8 + 24
+			b += int64(len(p))*4 + 24
 		}
 	}
 	if c.Dict != nil {
@@ -102,7 +102,7 @@ func (c *Column) Spill(opts SpillOptions) (int64, error) {
 	for _, p := range c.Postings {
 		nTIDs += len(p)
 	}
-	flat := make([]int, 0, nTIDs)
+	flat := make([]int32, 0, nTIDs)
 	offs := make([]uint64, len(c.Postings)+1)
 	for i, p := range c.Postings {
 		offs[i] = uint64(len(flat))
@@ -134,11 +134,11 @@ func (c *Column) Unspill() error {
 	}
 	ids := make([]ValueID, len(sp.ids))
 	copy(ids, sp.ids)
-	posts := make([][]int, len(sp.offs)-1)
+	posts := make([][]int32, len(sp.offs)-1)
 	for i := range posts {
 		p := sp.postingAt(ValueID(i))
 		if len(p) > 0 {
-			posts[i] = append([]int(nil), p...)
+			posts[i] = append([]int32(nil), p...)
 		}
 	}
 	c.IDs = ids
@@ -170,7 +170,7 @@ func (c *Column) IDVec() []ValueID {
 // PostingList returns the sorted TIDs carrying value id — a read-only
 // view (possibly into a shared file mapping); callers must not mutate or
 // retain it across a Refresh. Unknown ids return nil.
-func (c *Column) PostingList(id ValueID) []int {
+func (c *Column) PostingList(id ValueID) []int32 {
 	if c.spill != nil {
 		return c.spill.postingAt(id)
 	}
@@ -195,8 +195,8 @@ func (c *Column) Complete(rel *data.Relation) bool {
 // BuildColumnSpilled encodes one attribute straight into a spill block:
 // dictionary build, dense id vector, then a counting-sort pass that lays
 // the posting lists out flat (rel.Tuples is TID-ascending, so each
-// bucket fills in sorted order) — the [][]int posting slices are never
-// materialized, which keeps the transient build footprint at ~12 bytes
+// bucket fills in sorted order) — the [][]int32 posting slices are never
+// materialized, which keeps the transient build footprint at ~8 bytes
 // per tuple instead of the slice-based layout's header overhead.
 func BuildColumnSpilled(rel *data.Relation, attr string, opts SpillOptions) (*Column, error) {
 	dict, tup, err := buildEncoded(rel, attr)
@@ -218,12 +218,12 @@ func BuildColumnSpilled(rel *data.Relation, attr string, opts SpillOptions) (*Co
 	for i := 1; i < len(offs); i++ {
 		offs[i] += offs[i-1]
 	}
-	flat := make([]int, offs[len(offs)-1])
+	flat := make([]int32, offs[len(offs)-1])
 	cursor := make([]uint64, dict.Size())
 	copy(cursor, offs)
 	for _, t := range rel.Tuples {
 		id := ids[t.TID]
-		flat[cursor[id]] = t.TID
+		flat[cursor[id]] = int32(t.TID)
 		cursor[id]++
 	}
 	sp, err := writeSpill(opts, ids, offs, flat, holes)
@@ -233,7 +233,7 @@ func BuildColumnSpilled(rel *data.Relation, attr string, opts SpillOptions) (*Co
 	return &Column{Attr: attr, Dict: dict, spill: sp}, nil
 }
 
-func writeSpill(opts SpillOptions, ids []ValueID, offs []uint64, flat []int, holes int) (*spillFile, error) {
+func writeSpill(opts SpillOptions, ids []ValueID, offs []uint64, flat []int32, holes int) (*spillFile, error) {
 	dir := opts.Dir
 	if dir == "" {
 		dir = os.TempDir()
@@ -247,7 +247,7 @@ func writeSpill(opts SpillOptions, ids []ValueID, offs []uint64, flat []int, hol
 	os.Remove(f.Name())
 	idsBytes := pad8(int64(len(ids)) * 4)
 	offsBytes := int64(len(offs)) * 8
-	tidsBytes := int64(len(flat)) * 8
+	tidsBytes := pad8(int64(len(flat)) * 4)
 	total := 32 + idsBytes + offsBytes + tidsBytes
 
 	var hdr [32]byte
@@ -267,7 +267,7 @@ func writeSpill(opts SpillOptions, ids []ValueID, offs []uint64, flat []int, hol
 		f.Close()
 		return nil, err
 	}
-	if err := writeAll(f, intBytes(flat), tidsBytes); err != nil {
+	if err := writeAll(f, i32Bytes(flat), tidsBytes); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func writeSpill(opts SpillOptions, ids []ValueID, offs []uint64, flat []int, hol
 
 // postingAt resolves one posting list: a zero-copy mapped view, or a
 // fresh slice streamed from the file in the ReadAt fallback.
-func (sp *spillFile) postingAt(id ValueID) []int {
+func (sp *spillFile) postingAt(id ValueID) []int32 {
 	if int(id)+1 >= len(sp.offs) {
 		return nil
 	}
@@ -301,10 +301,10 @@ func (sp *spillFile) postingAt(id ValueID) []int {
 	}
 	n := int(end - start)
 	if sp.mapped != nil {
-		return unsafe.Slice((*int)(unsafe.Pointer(&sp.mapped[sp.tidOff+int64(start)*8])), n)
+		return unsafe.Slice((*int32)(unsafe.Pointer(&sp.mapped[sp.tidOff+int64(start)*4])), n)
 	}
-	out := make([]int, n)
-	if _, err := sp.f.ReadAt(intBytes(out), sp.tidOff+int64(start)*8); err != nil {
+	out := make([]int32, n)
+	if _, err := sp.f.ReadAt(i32Bytes(out), sp.tidOff+int64(start)*4); err != nil {
 		return nil
 	}
 	return out
@@ -350,17 +350,17 @@ func u64Bytes(s []uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
 }
 
-func intBytes(s []int) []byte {
+func i32Bytes(s []int32) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
 }
 
 // SortPostingCheck verifies a posting list is strictly ascending —
 // shared by tests and the Refresh invariants.
-func SortPostingCheck(p []int) error {
-	if !sort.IntsAreSorted(p) {
+func SortPostingCheck(p []int32) error {
+	if !slices.IsSorted(p) {
 		return fmt.Errorf("crystal: posting list not sorted")
 	}
 	for i := 1; i < len(p); i++ {

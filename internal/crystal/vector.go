@@ -79,7 +79,7 @@ func SelectNe(bits []uint64, ids []ValueID, target ValueID) {
 // range. O(log d) where d is the distance from lo — the frontier-driven
 // cost that makes intersecting a short posting list against a long
 // partition linear in the short side.
-func gallopGE(s []int, x, lo int) int {
+func gallopGE[T TID](s []T, x T, lo int) int {
 	n := len(s)
 	if lo >= n || s[lo] >= x {
 		return lo
@@ -106,11 +106,16 @@ func gallopGE(s []int, x, lo int) int {
 	return hi
 }
 
+// TID is a tuple-identifier element type: the executor keeps posting
+// lists and partition TID arrays as int32 (half the memory of int on the
+// tuple-count-sized arrays), while callers outside it speak int.
+type TID interface{ ~int | ~int32 }
+
 // IntersectSorted appends to dst the values common to a and b (both
 // strictly ascending) and returns the extended slice. The shorter side
 // drives: when the lengths are imbalanced the kernel gallops through the
 // longer side, otherwise it merge-walks.
-func IntersectSorted(dst, a, b []int) []int {
+func IntersectSorted[T TID](dst, a, b []T) []T {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -153,7 +158,7 @@ func IntersectSorted(dst, a, b []int) []int {
 // (needles) into a selection over a partition's TID array (hay) — the
 // resulting positions index the partition's tuple slice directly, so
 // matched tuples materialize without any per-tuple map probe.
-func IntersectPositions(dst []int32, needles, hay []int) []int32 {
+func IntersectPositions[T TID](dst []int32, needles, hay []T) []int32 {
 	if len(needles) == 0 || len(hay) == 0 {
 		return dst
 	}

@@ -6,9 +6,11 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Type enumerates the attribute types supported by Rock schemas.
@@ -46,67 +48,125 @@ func (t Type) String() string {
 }
 
 // Value is a single attribute value. The zero Value is null.
-// Values are small and passed by value throughout.
+// Values are small and passed by value throughout. The row store holds
+// one per cell, so a Value packs into two words: p is a string payload's
+// data pointer, or a pointer into valueTags naming the kind (and
+// nullness) of a value without string data; n is the string's length or
+// the numeric or Boolean payload.
 type Value struct {
-	kind  Type
-	null  bool
-	s     string
-	i     int64
-	f     float64
-	b     bool
-	valid bool // distinguishes the zero Value (null) from constructed ones
+	p unsafe.Pointer
+	n uint64 // string length, int/time payload, float64 bits, or 1 for true
+}
+
+// valueTags is the target of the sentinel pointers: a Value whose p
+// points at valueTags[k] is a non-null value of kind k, at
+// valueTags[nullTags+k] a null of kind k, and at valueTags[emptyTag] the
+// empty string. No string's data lies in this array, so a pointer into
+// it can never be mistaken for a string payload.
+var valueTags [2*256 + 1]byte
+
+const (
+	nullTags = 256
+	emptyTag = 2 * 256
+)
+
+func tagged(i int, n uint64) Value { return Value{p: unsafe.Pointer(&valueTags[i]), n: n} }
+
+// tag returns the valueTags index p points at; -1 for string data and
+// for the zero Value.
+func (v Value) tag() int {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&valueTags[0])); d < uintptr(len(valueTags)) {
+		return int(d)
+	}
+	return -1
 }
 
 // Null returns a null value of the given type.
-func Null(t Type) Value { return Value{kind: t, null: true, valid: true} }
+func Null(t Type) Value { return tagged(nullTags+int(uint8(t)), 0) }
 
 // S constructs a string value.
-func S(v string) Value { return Value{kind: TString, s: v, valid: true} }
+func S(v string) Value {
+	if v == "" {
+		return tagged(emptyTag, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // I constructs an integer value.
-func I(v int64) Value { return Value{kind: TInt, i: v, valid: true} }
+func I(v int64) Value { return tagged(int(TInt), uint64(v)) }
 
 // F constructs a float value.
-func F(v float64) Value { return Value{kind: TFloat, f: v, valid: true} }
+func F(v float64) Value { return tagged(int(TFloat), math.Float64bits(v)) }
 
 // B constructs a Boolean value.
-func B(v bool) Value { return Value{kind: TBool, b: v, valid: true} }
+func B(v bool) Value {
+	var n uint64
+	if v {
+		n = 1
+	}
+	return tagged(int(TBool), n)
+}
 
 // TS constructs a timestamp value from Unix seconds.
-func TS(unix int64) Value { return Value{kind: TTime, i: unix, valid: true} }
+func TS(unix int64) Value { return tagged(int(TTime), uint64(unix)) }
 
 // Time constructs a timestamp value from a time.Time.
 func Time(t time.Time) Value { return TS(t.Unix()) }
 
 // Kind reports the type of the value.
-func (v Value) Kind() Type { return v.kind }
+func (v Value) Kind() Type {
+	switch t := v.tag(); {
+	case t < 0 || t == emptyTag:
+		return TString
+	case t >= nullTags:
+		return Type(t - nullTags)
+	default:
+		return Type(t)
+	}
+}
 
 // IsNull reports whether the value is null. The zero Value is null.
-func (v Value) IsNull() bool { return v.null || !v.valid }
+func (v Value) IsNull() bool {
+	if v.p == nil {
+		return true
+	}
+	t := v.tag()
+	return t >= nullTags && t != emptyTag
+}
 
-// Str returns the string payload; only meaningful for TString values.
-func (v Value) Str() string { return v.s }
+// Str returns the string payload; "" for values that are not TString.
+func (v Value) Str() string {
+	if v.p == nil || v.tag() >= 0 {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
-// Int returns the integer payload; meaningful for TInt and TTime values.
-func (v Value) Int() int64 { return v.i }
+// Int returns the integer payload of TInt and TTime values; 0 otherwise.
+func (v Value) Int() int64 {
+	if k := v.Kind(); k == TInt || k == TTime {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // Float returns the numeric payload as float64 for TInt, TFloat and TTime.
 func (v Value) Float() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case TInt, TTime:
-		return float64(v.i)
+		return float64(int64(v.n))
 	case TFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	default:
 		return 0
 	}
 }
 
-// Bool returns the Boolean payload; only meaningful for TBool values.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the Boolean payload; false for values that are not TBool.
+func (v Value) Bool() bool { return v.Kind() == TBool && v.n != 0 }
 
 // Unix returns the timestamp payload in Unix seconds for TTime values.
-func (v Value) Unix() int64 { return v.i }
+func (v Value) Unix() int64 { return v.Int() }
 
 // Equal reports deep equality between two values. Nulls are equal only to
 // nulls of any type (SQL users beware: Rock treats null = null as true when
@@ -116,22 +176,20 @@ func (v Value) Equal(w Value) bool {
 	if v.IsNull() || w.IsNull() {
 		return v.IsNull() && w.IsNull()
 	}
-	if v.kind != w.kind {
+	if v.Kind() != w.Kind() {
 		// Numeric cross-type comparison.
-		if isNumeric(v.kind) && isNumeric(w.kind) {
+		if isNumeric(v.Kind()) && isNumeric(w.Kind()) {
 			return v.Float() == w.Float()
 		}
 		return false
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case TString:
-		return v.s == w.s
-	case TInt, TTime:
-		return v.i == w.i
+		return v.Str() == w.Str()
+	case TInt, TTime, TBool:
+		return v.n == w.n
 	case TFloat:
-		return v.f == w.f
-	case TBool:
-		return v.b == w.b
+		return v.Float() == w.Float()
 	}
 	return false
 }
@@ -147,7 +205,7 @@ func (v Value) Compare(w Value) int {
 	case w.IsNull():
 		return 1
 	}
-	if isNumeric(v.kind) && isNumeric(w.kind) {
+	if isNumeric(v.Kind()) && isNumeric(w.Kind()) {
 		a, b := v.Float(), w.Float()
 		switch {
 		case a < b:
@@ -158,14 +216,14 @@ func (v Value) Compare(w Value) int {
 			return 0
 		}
 	}
-	if v.kind == TString && w.kind == TString {
-		return strings.Compare(v.s, w.s)
+	if v.Kind() == TString && w.Kind() == TString {
+		return strings.Compare(v.Str(), w.Str())
 	}
-	if v.kind == TBool && w.kind == TBool {
+	if v.Kind() == TBool && w.Kind() == TBool {
 		switch {
-		case v.b == w.b:
+		case v.n == w.n:
 			return 0
-		case w.b:
+		case w.Bool():
 			return -1
 		default:
 			return 1
@@ -173,9 +231,9 @@ func (v Value) Compare(w Value) int {
 	}
 	// Incomparable kinds order by kind for determinism.
 	switch {
-	case v.kind < w.kind:
+	case v.Kind() < w.Kind():
 		return -1
-	case v.kind > w.kind:
+	case v.Kind() > w.Kind():
 		return 1
 	default:
 		return 0
@@ -189,17 +247,17 @@ func (v Value) String() string {
 	if v.IsNull() {
 		return "null"
 	}
-	switch v.kind {
+	switch v.Kind() {
 	case TString:
-		return v.s
+		return v.Str()
 	case TInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case TTime:
-		return time.Unix(v.i, 0).UTC().Format("2006-01-02T15:04:05Z")
+		return time.Unix(v.Unix(), 0).UTC().Format("2006-01-02T15:04:05Z")
 	}
 	return ""
 }
@@ -257,8 +315,8 @@ func (v Value) Key() string {
 	if v.IsNull() {
 		return "\x00null"
 	}
-	if isNumeric(v.kind) {
+	if isNumeric(v.Kind()) {
 		return "N\x1f" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	}
-	return string(rune('0'+int(v.kind))) + "\x1f" + v.String()
+	return string(rune('0'+int(v.Kind()))) + "\x1f" + v.String()
 }

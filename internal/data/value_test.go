@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestValueNullness(t *testing.T) {
@@ -220,5 +221,61 @@ func TestValueKeyAgreesWithEqual(t *testing.T) {
 					a, b, eq, keq, a.Key(), b.Key())
 			}
 		}
+	}
+}
+
+// TestValueRepresentation pins the two-word Value layout and checks that
+// every constructor round-trips through the accessors: kind, nullness,
+// payloads of the other kinds reading as zero, and the zero Value.
+func TestValueRepresentation(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Fatalf("Value is %d bytes, want 16", n)
+	}
+	cases := []struct {
+		v     Value
+		kind  Type
+		null  bool
+		str   string
+		i     int64
+		f     float64
+		b     bool
+		shown string
+	}{
+		{Value{}, TString, true, "", 0, 0, false, "null"},
+		{S(""), TString, false, "", 0, 0, false, ""},
+		{S("abc"), TString, false, "abc", 0, 0, false, "abc"},
+		{I(-7), TInt, false, "", -7, -7, false, "-7"},
+		{F(2.5), TFloat, false, "", 0, 2.5, false, "2.5"},
+		{B(true), TBool, false, "", 0, 0, true, "true"},
+		{B(false), TBool, false, "", 0, 0, false, "false"},
+		{TS(86400), TTime, false, "", 86400, 86400, false, "1970-01-02T00:00:00Z"},
+	}
+	for _, k := range []Type{TString, TInt, TFloat, TBool, TTime} {
+		cases = append(cases, struct {
+			v     Value
+			kind  Type
+			null  bool
+			str   string
+			i     int64
+			f     float64
+			b     bool
+			shown string
+		}{Null(k), k, true, "", 0, 0, false, "null"})
+	}
+	for _, c := range cases {
+		v := c.v
+		if v.Kind() != c.kind || v.IsNull() != c.null || v.Str() != c.str || v.Int() != c.i ||
+			v.Float() != c.f || v.Bool() != c.b || v.String() != c.shown {
+			t.Errorf("%q: kind %v null %t str %q int %d float %g bool %t, want %v %t %q %d %g %t",
+				c.shown, v.Kind(), v.IsNull(), v.Str(), v.Int(), v.Float(), v.Bool(),
+				c.kind, c.null, c.str, c.i, c.f, c.b)
+		}
+	}
+	// A string whose bytes spell a sentinel's index is still a string.
+	if v := S(string([]byte{1})); v.Kind() != TString || v.IsNull() || v.Str() != "\x01" {
+		t.Errorf("one-byte string misread: kind %v null %t %q", v.Kind(), v.IsNull(), v.Str())
+	}
+	if !S("x").Equal(S(string([]byte{'x'}))) || S("x").Equal(S("y")) || S("").Equal(Null(TString)) {
+		t.Error("string equality must follow content, and the empty string is not null")
 	}
 }

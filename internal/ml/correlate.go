@@ -18,10 +18,15 @@ type CorrelationModel struct {
 	ModelName string
 	Schema    *data.Schema
 
-	// pairCount[aIdx][aVal|bIdx|bVal] counts co-occurrences of attribute
-	// values across trained tuples.
-	pairCount map[string]float64
-	valCount  map[string]float64
+	// ids numbers each trained attribute value (cellKey) densely;
+	// valCount[id] counts its occurrences and pairCount[tallyKey(a, b)]
+	// the co-occurrences of two values, a's attribute preceding b's.
+	// Integer pair keys keep the model a fraction of the size of
+	// string-keyed tallies: a high-cardinality attribute has a pair per
+	// tuple and per other attribute.
+	ids       map[string]int32
+	valCount  []float64
+	pairCount map[uint64]float64
 	total     float64
 }
 
@@ -30,8 +35,8 @@ func NewCorrelationModel(name string, schema *data.Schema) *CorrelationModel {
 	return &CorrelationModel{
 		ModelName: name,
 		Schema:    schema,
-		pairCount: make(map[string]float64),
-		valCount:  make(map[string]float64),
+		ids:       make(map[string]int32),
+		pairCount: make(map[uint64]float64),
 	}
 }
 
@@ -42,23 +47,59 @@ func cellKey(attrIdx int, v data.Value) string {
 	return string(rune('A'+attrIdx)) + "\x1f" + v.Key()
 }
 
+func tallyKey(a, b int32) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
+
+// id returns the dense id of a trained attribute value (-1 if untrained).
+func (m *CorrelationModel) id(attrIdx int, v data.Value) int32 {
+	if id, ok := m.ids[cellKey(attrIdx, v)]; ok {
+		return id
+	}
+	return -1
+}
+
+// count returns how often the attribute value was trained.
+func (m *CorrelationModel) count(id int32) float64 {
+	if id < 0 {
+		return 0
+	}
+	return m.valCount[id]
+}
+
+// intern returns the value's dense id, numbering it on first sight.
+func (m *CorrelationModel) intern(attrIdx int, v data.Value) int32 {
+	k := cellKey(attrIdx, v)
+	id, ok := m.ids[k]
+	if !ok {
+		id = int32(len(m.valCount))
+		m.ids[k] = id
+		m.valCount = append(m.valCount, 0)
+	}
+	return id
+}
+
 // Train ingests tuples (typically the validated portion of the data plus
 // accumulated ground truth) and tallies value co-occurrence.
 func (m *CorrelationModel) Train(tuples []*data.Tuple) {
+	var ids []int32
 	for _, t := range tuples {
 		m.total++
+		ids = ids[:0]
 		for i, v := range t.Values {
-			if v.IsNull() {
+			id := int32(-1)
+			if !v.IsNull() {
+				id = m.intern(i, v)
+				m.valCount[id]++
+			}
+			ids = append(ids, id)
+		}
+		for i, a := range ids {
+			if a < 0 {
 				continue
 			}
-			ki := cellKey(i, v)
-			m.valCount[ki]++
-			for j := i + 1; j < len(t.Values); j++ {
-				w := t.Values[j]
-				if w.IsNull() {
-					continue
+			for _, b := range ids[i+1:] {
+				if b >= 0 {
+					m.pairCount[tallyKey(a, b)]++
 				}
-				m.pairCount[ki+"\x1e"+cellKey(j, w)]++
 			}
 		}
 	}
@@ -70,16 +111,16 @@ func (m *CorrelationModel) pairStrength(ai int, av data.Value, bi int, bv data.V
 	if m.total == 0 || av.IsNull() || bv.IsNull() {
 		return 0
 	}
-	ka, kb := cellKey(ai, av), cellKey(bi, bv)
-	var joint float64
-	if ai < bi {
-		joint = m.pairCount[ka+"\x1e"+kb]
-	} else {
-		joint = m.pairCount[kb+"\x1e"+ka]
-	}
-	ca, cb := m.valCount[ka], m.valCount[kb]
+	ka, kb := m.id(ai, av), m.id(bi, bv)
+	ca, cb := m.count(ka), m.count(kb)
 	if ca == 0 || cb == 0 {
 		return 0
+	}
+	var joint float64
+	if ai < bi {
+		joint = m.pairCount[tallyKey(ka, kb)]
+	} else {
+		joint = m.pairCount[tallyKey(kb, ka)]
 	}
 	// A candidate value observed fewer than twice has no statistical
 	// support: raw PMI would reward exactly such one-off co-occurrences
@@ -125,7 +166,7 @@ func (m *CorrelationModel) Strength(t *data.Tuple, anchors []int, bIdx int, c da
 		// Anchors whose value occurs once carry no statistical support —
 		// a near-unique key "co-occurs" perfectly with whatever happens to
 		// sit in its row, drowning the informative correlations.
-		if m.valCount[cellKey(ai, av)] < 2 {
+		if m.count(m.id(ai, av)) < 2 {
 			continue
 		}
 		sum += m.pairStrength(ai, av, bIdx, c)
